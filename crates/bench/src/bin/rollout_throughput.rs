@@ -9,12 +9,12 @@
 //! wall-clock charges, never measured values. Both invariants are checked here
 //! and recorded in the emitted `BENCH_rollout_throughput.json`.
 //!
-//! The microbenchmark times three ways to decode one minibatch of actions —
-//! a per-episode `decode` loop, the retired per-episode crossbeam thread
-//! fan-out, and one `decode_batch` call — and analogously per-episode `sample`
-//! vs `sample_batch`. All three decode columns must produce identical
-//! placements (batching is bit-identical by contract), and batched decode must
-//! stay at least 1.3x faster than the per-episode loop on Inception-V3.
+//! The microbenchmark times two ways to decode one minibatch of actions — a
+//! per-episode `decode` loop and one `decode_batch` call — and analogously
+//! per-episode `sample` vs `sample_batch`. Both decode columns must produce
+//! identical placements (batching is bit-identical by contract), and batched
+//! decode must stay at least 1.3x faster than the per-episode loop on
+//! Inception-V3.
 //!
 //! The `update_throughput` microbenchmark times one full minibatch policy
 //! update three ways: the retired per-episode path (one backward traversal per
@@ -32,7 +32,7 @@ use eagle_bench::Cli;
 use eagle_core::{
     Algo, EagleAgent, GraphSource, PlacementAgent, TrainResult, Trainer, TrainerConfig,
 };
-use eagle_devsim::{resolve_workers, Benchmark, Machine, MeasureConfig, Placement};
+use eagle_devsim::{resolve_workers, Benchmark, Machine, MeasureConfig};
 use eagle_rl::{fork_streams, StochasticPolicy};
 use eagle_tensor::{optim::Adam, set_matmul_kernel, Grads, MatmulKernel, Params};
 use rand::{RngCore, SeedableRng};
@@ -89,9 +89,6 @@ const MICRO_ITERS: usize = 8;
 /// gated ratio, keeping run-to-run spread well under the 25% regression floor
 /// on a noisy shared CI host.
 const MICRO_BATCHES: usize = 3;
-/// Thread count of the retired per-episode fan-out, kept as a comparison
-/// column. The old trainer spawned this many decode workers per minibatch.
-const FANOUT_THREADS: usize = 8;
 
 /// Runs `f` once untimed to warm caches, then returns the fastest of
 /// [`MICRO_BATCHES`] batch means (seconds per call over `iters` repetitions)
@@ -107,28 +104,6 @@ fn bench_loop<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }
     (best, out)
-}
-
-/// The retired trainer decode path: fan the minibatch out over scoped threads,
-/// one per-episode `decode` call at a time.
-fn decode_via_threads(
-    agent: &EagleAgent,
-    params: &Params,
-    actions: &[Vec<usize>],
-) -> Vec<Placement> {
-    let chunk = actions.len().div_ceil(FANOUT_THREADS);
-    let mut out: Vec<Option<Placement>> = vec![None; actions.len()];
-    crossbeam::thread::scope(|s| {
-        for (acts, slots) in actions.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                for (a, slot) in acts.iter().zip(slots.iter_mut()) {
-                    *slot = Some(agent.decode(params, a));
-                }
-            });
-        }
-    })
-    .expect("decode worker panicked");
-    out.into_iter().map(|p| p.expect("every action sequence decoded")).collect()
 }
 
 /// Times per-episode vs batched sampling and decoding of one minibatch and
@@ -174,17 +149,9 @@ fn decode_microbench(b: Benchmark, cli: &Cli) -> Value {
     let (decode_per_episode_sec, per_episode_placements) = bench_loop(MICRO_ITERS, || {
         actions.iter().map(|a| agent.decode(&params, a)).collect::<Vec<_>>()
     });
-    let (decode_threads_sec, threads_placements) =
-        bench_loop(MICRO_ITERS, || decode_via_threads(&agent, &params, &actions));
     let (decode_batched_sec, batched_placements) =
         bench_loop(MICRO_ITERS, || agent.decode_batch(&params, &actions));
 
-    assert_eq!(
-        per_episode_placements,
-        threads_placements,
-        "{}: threaded decode diverged from the per-episode loop",
-        b.name()
-    );
     assert_eq!(
         per_episode_placements,
         batched_placements,
@@ -194,13 +161,11 @@ fn decode_microbench(b: Benchmark, cli: &Cli) -> Value {
 
     let sample_speedup = sample_per_episode_sec / sample_batched_sec;
     let decode_speedup = decode_per_episode_sec / decode_batched_sec;
-    let threads_speedup = decode_per_episode_sec / decode_threads_sec;
     println!(
-        "  {:<12} batch {:>2}  decode: per-episode {:>8.1}us  threads({FANOUT_THREADS}) {:>8.1}us  batched {:>8.1}us ({:>5.2}x)  sample batched {:>5.2}x",
+        "  {:<12} batch {:>2}  decode: per-episode {:>8.1}us  batched {:>8.1}us ({:>5.2}x)  sample batched {:>5.2}x",
         b.name(),
         MICRO_BATCH,
         1e6 * decode_per_episode_sec,
-        1e6 * decode_threads_sec,
         1e6 * decode_batched_sec,
         decode_speedup,
         sample_speedup,
@@ -223,11 +188,8 @@ fn decode_microbench(b: Benchmark, cli: &Cli) -> Value {
         ("sample_batched_sec", Value::from(sample_batched_sec)),
         ("sample_speedup_batched_vs_per_episode", Value::from(sample_speedup)),
         ("decode_per_episode_sec", Value::from(decode_per_episode_sec)),
-        ("decode_threads_sec", Value::from(decode_threads_sec)),
-        ("decode_threads", Value::U64(FANOUT_THREADS as u64)),
         ("decode_batched_sec", Value::from(decode_batched_sec)),
         ("decode_speedup_batched_vs_per_episode", Value::from(decode_speedup)),
-        ("decode_speedup_threads_vs_per_episode", Value::from(threads_speedup)),
         ("outputs_bit_identical", Value::Bool(true)),
     ])
 }
@@ -265,20 +227,20 @@ fn update_microbench(b: Benchmark, cli: &Cli) -> Value {
     let actions: Vec<Vec<usize>> =
         (0..MICRO_BATCH).map(|_| agent.sample(&params, &mut sample_rng).0).collect();
 
-    // The exact pre-single-backward update: one backward traversal per episode
-    // depositing into the parameter store, then clip + step.
-    let per_episode_update = |p: &mut Params, opt: &mut Adam| {
-        p.zero_grad();
+    // The pre-single-backward update: one backward traversal per episode,
+    // then clip + step.
+    let per_episode_update = |p: &mut Params, opt: &mut Adam, grads: &mut Grads| {
         let mut h = agent.score_batch(p, &actions);
         let losses = build_ep_losses(&mut h);
+        grads.zero();
         for &loss in &losses {
-            h.tape.backward(loss, p);
+            h.tape.backward_into(loss, grads);
         }
-        p.clip_grad_norm(1.0);
-        opt.step(p);
+        grads.clip_global_norm(1.0);
+        opt.step_grads(p, grads);
     };
-    // The shipped update: sum the losses on the tape, traverse once into
-    // detached gradient buffers, clip + step from those.
+    // The shipped update: sum the losses on the tape, traverse once, then
+    // clip + step.
     let single_backward_update = |p: &mut Params, opt: &mut Adam, grads: &mut Grads| {
         let mut h = agent.score_batch(p, &actions);
         let losses = build_ep_losses(&mut h);
@@ -293,7 +255,8 @@ fn update_microbench(b: Benchmark, cli: &Cli) -> Value {
     let (per_episode_naive_sec, _) = {
         let mut p = params.clone();
         let mut opt = Adam::new(1e-3);
-        bench_loop(MICRO_ITERS, || per_episode_update(&mut p, &mut opt))
+        let mut grads = Grads::for_params(&p);
+        bench_loop(MICRO_ITERS, || per_episode_update(&mut p, &mut opt, &mut grads))
     };
     let (single_naive_sec, _) = {
         let mut p = params.clone();
@@ -482,14 +445,6 @@ fn main() {
         ("scale", Value::from(cli.scale_name.as_str())),
         ("seed", Value::U64(cli.seed)),
         ("available_cores", Value::U64(resolve_workers(0) as u64)),
-        (
-            "note",
-            Value::from(
-                "decode_threads mirrors the retired per-episode crossbeam fan-out; on a \
-                 single-core host it measures pure fan-out overhead, while batched decode \
-                 wins by removing per-episode grouper forwards without extra cores",
-            ),
-        ),
         ("runs", Value::Array(runs)),
         ("decode", Value::Array(decode)),
         ("update", Value::Array(update)),

@@ -15,7 +15,7 @@ use eagle_devsim::{DeviceId, Machine, Placement};
 use eagle_nn::{AttentionMode, Grouper, Lstm, Placer, PlacerOutput, Seq2SeqPlacer};
 use eagle_opgraph::OpGraph;
 use eagle_rl::{BatchScoreHandle, EpisodeScore, ScoreHandle, StochasticPolicy};
-use eagle_tensor::{Params, Tape, Tensor, Var};
+use eagle_tensor::{Grads, Params, Tape, Tensor, Var};
 use rand::Rng;
 
 use crate::scale::AgentScale;
@@ -107,20 +107,20 @@ impl EagleAgent {
     fn warm_start_grouper(&self, params: &mut Params, graph: &OpGraph) {
         let target = Self::warm_start_target(graph, self.num_groups);
         let mut opt = eagle_tensor::optim::Adam::new(0.01);
+        let mut grads = Grads::for_params(params);
         for _ in 0..60 {
-            params.zero_grad();
+            grads.zero();
             let mut tape = Tape::new();
             let f = tape.leaf(self.features.clone());
             let logits = self.grouper.logits(&mut tape, params, f);
             let picked = tape.log_softmax_pick(logits, &target);
             let neg = tape.neg(picked);
             let loss = tape.mean_all(neg);
-            tape.backward(loss, params);
+            tape.backward_into(loss, &mut grads);
             // Only the grouper participates in this phase; other grads stay zero,
             // and Adam's zero-moment updates leave them untouched.
-            opt.step(params);
+            opt.step_grads(params, &grads);
         }
-        params.zero_grad();
     }
 
     /// The warm-start grouping: balanced topologically contiguous chunks.
@@ -346,22 +346,23 @@ mod tests {
     fn gradients_reach_grouper_through_placer_loss() {
         // The linking construction must carry placer-policy gradients back into the
         // grouper parameters (EAGLE's claim).
-        let (mut params, agent, _, _) = setup();
+        let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let (actions, _) = agent.sample(&params, &mut rng);
         let mut h = agent.score(&params, &actions);
         let loss = h.tape.neg(h.log_prob);
-        h.tape.backward(loss, &mut params);
+        let mut grads = Grads::for_params(&params);
+        h.tape.backward_into(loss, &mut grads);
         let grouper_grad: f32 = params
             .ids()
             .filter(|&id| params.name(id).starts_with("eagle/grouper"))
-            .map(|id| params.grad(id).norm())
+            .map(|id| grads.get(id).norm())
             .sum();
         assert!(grouper_grad > 0.0, "grouper receives gradient end-to-end");
         let link_grad: f32 = params
             .ids()
             .filter(|&id| params.name(id).starts_with("eagle/link"))
-            .map(|id| params.grad(id).norm())
+            .map(|id| grads.get(id).norm())
             .sum();
         assert!(link_grad > 0.0, "linking RNN receives gradient");
     }

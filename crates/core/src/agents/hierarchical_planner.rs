@@ -246,6 +246,7 @@ impl PlacementAgent for HpAgent {
 mod tests {
     use super::*;
     use eagle_opgraph::builders;
+    use eagle_tensor::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -301,17 +302,18 @@ mod tests {
 
     #[test]
     fn gradients_reach_both_subnetworks() {
-        let (mut params, agent, _, _) = setup();
+        let (params, agent, _, _) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let (actions, _) = agent.sample(&params, &mut rng);
         let mut h = agent.score(&params, &actions);
         let loss = h.tape.neg(h.log_prob);
-        h.tape.backward(loss, &mut params);
+        let mut grads = Grads::for_params(&params);
+        h.tape.backward_into(loss, &mut grads);
         for prefix in ["hp/grouper", "hp/placer"] {
             let grad: f32 = params
                 .ids()
                 .filter(|&id| params.name(id).starts_with(prefix))
-                .map(|id| params.grad(id).norm())
+                .map(|id| grads.get(id).norm())
                 .sum();
             assert!(grad > 0.0, "{prefix} must receive gradient");
         }

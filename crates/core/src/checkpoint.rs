@@ -20,7 +20,7 @@
 //! A checkpoint is a JSON header line followed by a JSON payload:
 //!
 //! ```text
-//! {"magic":"eagle-checkpoint","schema_version":1,"checksum":...,"payload_bytes":...}
+//! {"magic":"eagle-checkpoint","schema_version":3,"checksum":...,"payload_bytes":...}
 //! {"samples":120,"minibatches":12,...}
 //! ```
 //!
@@ -45,14 +45,23 @@ use crate::source::{GraphOrigin, SourceState};
 pub const CHECKPOINT_MAGIC: &str = "eagle-checkpoint";
 
 /// Current checkpoint schema version. Bump whenever [`TrainerState`] (or the
-/// types it embeds) changes shape; [`load_checkpoint`] rejects other versions
-/// with [`CheckpointError::SchemaVersion`] instead of misdecoding silently.
+/// types it embeds) changes shape; [`load_checkpoint`] rejects versions it
+/// cannot read with [`CheckpointError::SchemaVersion`] instead of misdecoding
+/// silently.
 ///
 /// v2: multi-graph trainer state — the single `baseline`/`best`/`env` fields
 /// became a vector of per-graph [`GraphEntryState`]s, plus the graph-source
 /// cursor (`source`), the trainer-level wall-clock (`wall`) and the
 /// retired-environment counter snapshot (`retired_snapshot`).
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
+///
+/// v3: the parameter entries lost their `grad` arrays (always zero on disk;
+/// gradients live in `eagle_tensor::Grads`, which is never checkpointed).
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
+
+/// Oldest schema version [`load_checkpoint`] still reads. A v2 payload decodes
+/// unchanged as v3: its `grad` arrays are unknown fields, which the decoder
+/// skips.
+const OLDEST_READABLE_SCHEMA_VERSION: u64 = 2;
 
 /// Conventional checkpoint file name inside a `--checkpoint-dir` directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -66,11 +75,11 @@ pub enum CheckpointError {
     /// The file has no header/payload structure or the header line is not the
     /// expected JSON object.
     Header(String),
-    /// The header's schema version does not match this build's.
+    /// The header's schema version is not one this build reads.
     SchemaVersion {
         /// Version found in the file.
         found: u64,
-        /// Version this build reads and writes.
+        /// Version this build writes (the newest it reads).
         expected: u64,
     },
     /// The payload is shorter than the header declares (torn or truncated file).
@@ -108,7 +117,8 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Header(m) => write!(f, "bad checkpoint header: {m}"),
             CheckpointError::SchemaVersion { found, expected } => write!(
                 f,
-                "checkpoint schema version {found} is not the supported version {expected}"
+                "checkpoint schema version {found} is not supported (this build reads \
+                 {OLDEST_READABLE_SCHEMA_VERSION} through {expected})"
             ),
             CheckpointError::Truncated { expected, actual } => write!(
                 f,
@@ -257,7 +267,7 @@ pub fn save_checkpoint(
 /// Reads and verifies a checkpoint written by [`save_checkpoint`].
 ///
 /// Verifies, in order: the header parses and carries the right magic, the
-/// schema version matches, the payload length matches the header's declaration
+/// schema version is readable, the payload length matches the header's declaration
 /// (catching truncation), and the FNV-1a checksum matches (catching corruption)
 /// — each failure is a distinct [`CheckpointError`] variant, never a panic.
 pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainerState, CheckpointError> {
@@ -272,7 +282,9 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainerState, Checkpoin
     if header.magic != CHECKPOINT_MAGIC {
         return Err(CheckpointError::Header(format!("unknown magic '{}'", header.magic)));
     }
-    if header.schema_version != CHECKPOINT_SCHEMA_VERSION {
+    if !(OLDEST_READABLE_SCHEMA_VERSION..=CHECKPOINT_SCHEMA_VERSION)
+        .contains(&header.schema_version)
+    {
         return Err(CheckpointError::SchemaVersion {
             found: header.schema_version,
             expected: CHECKPOINT_SCHEMA_VERSION,
@@ -444,23 +456,36 @@ mod tests {
     }
 
     #[test]
+    fn saved_payload_carries_no_gradient_arrays() {
+        let path = tmp("no-grad.json");
+        save_checkpoint(&sample_state(), &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(CHECKPOINT_SCHEMA_VERSION, 3);
+        assert!(text.contains("\"schema_version\":3,"), "header names v3");
+        assert!(!text.contains("\"grad\""), "payload must not serialize gradients");
+    }
+
+    #[test]
     fn schema_version_skew_is_rejected() {
         let path = tmp("skew.json");
         save_checkpoint(&sample_state(), &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let skewed = text.replacen(
-            &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
-            &format!("\"schema_version\":{}", CHECKPOINT_SCHEMA_VERSION + 1),
-            1,
-        );
-        assert_ne!(text, skewed, "header rewrite must hit");
-        std::fs::write(&path, skewed).unwrap();
-        match load_checkpoint(&path) {
-            Err(CheckpointError::SchemaVersion { found, expected }) => {
-                assert_eq!(found, CHECKPOINT_SCHEMA_VERSION + 1);
-                assert_eq!(expected, CHECKPOINT_SCHEMA_VERSION);
+        // v1 predates the multi-graph state; v4 is from a newer build.
+        for version in [1, CHECKPOINT_SCHEMA_VERSION + 1] {
+            let skewed = text.replacen(
+                &format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION}"),
+                &format!("\"schema_version\":{version}"),
+                1,
+            );
+            assert_ne!(text, skewed, "header rewrite must hit");
+            std::fs::write(&path, skewed).unwrap();
+            match load_checkpoint(&path) {
+                Err(CheckpointError::SchemaVersion { found, expected }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(expected, CHECKPOINT_SCHEMA_VERSION);
+                }
+                other => panic!("expected SchemaVersion error for v{version}, got {other:?}"),
             }
-            other => panic!("expected SchemaVersion error, got {other:?}"),
         }
     }
 

@@ -742,6 +742,7 @@ pub fn normalize_adjacency(graph: &eagle_opgraph::OpGraph, group_of: &[usize], k
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagle_tensor::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -867,35 +868,29 @@ mod tests {
         let forced_refs: Vec<&[usize]> = forced.iter().map(|a| a.as_slice()).collect();
 
         // Batched: one shared tape, per-episode backward in episode order.
-        let mut batch_params = params.clone();
+        let mut batch_grads = Grads::for_params(&params);
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
-        let outs =
-            placer.forward_batch(&mut tape, &batch_params, &[xv, xv], Some(&forced_refs), &mut []);
+        let outs = placer.forward_batch(&mut tape, &params, &[xv, xv], Some(&forced_refs), &mut []);
         for out in &outs {
             let loss = tape.neg(out.log_prob);
-            tape.backward(loss, &mut batch_params);
+            tape.backward_into(loss, &mut batch_grads);
         }
 
         // Serial reference: separate tape per episode.
-        let mut serial_params = params.clone();
+        let mut serial_grads = Grads::for_params(&params);
         for a in &forced {
             let mut t = Tape::new();
             let xv = t.leaf(x.clone());
-            let out = placer.forward(
-                &mut t,
-                &serial_params,
-                xv,
-                Some(a),
-                &mut ChaCha8Rng::seed_from_u64(0),
-            );
+            let out =
+                placer.forward(&mut t, &params, xv, Some(a), &mut ChaCha8Rng::seed_from_u64(0));
             let loss = t.neg(out.log_prob);
-            t.backward(loss, &mut serial_params);
+            t.backward_into(loss, &mut serial_grads);
         }
 
         assert_eq!(
-            batch_params.grad_global_norm().to_bits(),
-            serial_params.grad_global_norm().to_bits(),
+            batch_grads.global_norm().to_bits(),
+            serial_grads.global_norm().to_bits(),
             "accumulated gradients diverge between batched and serial scoring"
         );
     }
@@ -974,14 +969,15 @@ mod tests {
 
     #[test]
     fn gradients_flow_through_placer() {
-        let (mut params, placer) = setup(AttentionMode::Before);
+        let (params, placer) = setup(AttentionMode::Before);
         let x = Tensor::full(3, 7, 0.2);
         let mut tape = Tape::new();
         let xv = tape.leaf(x);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let out = placer.forward(&mut tape, &params, xv, None, &mut rng);
         let loss = tape.neg(out.log_prob);
-        tape.backward(loss, &mut params);
-        assert!(params.grad_global_norm() > 0.0, "some gradient must reach the params");
+        let mut grads = Grads::for_params(&params);
+        tape.backward_into(loss, &mut grads);
+        assert!(grads.global_norm() > 0.0, "some gradient must reach the params");
     }
 }

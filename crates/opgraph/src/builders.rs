@@ -23,7 +23,7 @@ fn require_nonzero(value: usize, field: &str) -> Result<(), GraphError> {
     }
 }
 
-/// Dimensions for [`gnmt`].
+/// Dimensions for [`try_gnmt`].
 #[derive(Debug, Clone)]
 pub struct GnmtConfig {
     /// Batch size (the paper raises it from 128 to 256 so the model OOMs one GPU).
@@ -56,7 +56,7 @@ impl GnmtConfig {
     }
 }
 
-/// Dimensions for [`bert_base`].
+/// Dimensions for [`try_bert_base`].
 #[derive(Debug, Clone)]
 pub struct BertConfig {
     /// Batch size (paper: 24).
@@ -101,7 +101,7 @@ impl BertConfig {
     }
 }
 
-/// Dimensions for [`inception_v3`].
+/// Dimensions for [`try_inception_v3`].
 #[derive(Debug, Clone)]
 pub struct InceptionConfig {
     /// Batch size (paper: 1).
@@ -311,16 +311,7 @@ fn tensor_bytes(elems: usize) -> u64 {
 /// stem, 3 "A" blocks at 35x35, reduction, 4 "B" blocks at 17x17, reduction,
 /// 2 "C" blocks at 8x8, classifier head), batch size from `cfg` (paper: 1).
 ///
-/// # Panics
-/// Panics on a degenerate config ([`InceptionConfig::validate`]); use
-/// [`try_inception_v3`], which is the primary surface (see DESIGN.md,
-/// "Fallible graph construction").
-#[deprecated(since = "0.1.0", note = "use try_inception_v3, which returns a typed GraphError")]
-pub fn inception_v3(cfg: &InceptionConfig) -> OpGraph {
-    try_inception_v3(cfg).unwrap_or_else(|e| panic!("inception_v3: {e}"))
-}
-
-/// [`inception_v3`] with config validation: degenerate dimensions come back as
+/// Degenerate dimensions ([`InceptionConfig::validate`]) come back as
 /// [`GraphError::BadConfig`] instead of a panic deep inside construction.
 pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
     cfg.validate()?;
@@ -602,17 +593,9 @@ pub fn try_inception_v3(cfg: &InceptionConfig) -> Result<OpGraph, GraphError> {
 /// layer, residual uni-directional stacks, per-step Bahdanau attention in the
 /// decoder, shared softmax projection. One fused `LstmCell` op per (layer, step).
 ///
-/// # Panics
-/// Panics on a degenerate config ([`GnmtConfig::validate`]); use [`try_gnmt`],
-/// which is the primary surface (see DESIGN.md, "Fallible graph construction").
-#[deprecated(since = "0.1.0", note = "use try_gnmt, which returns a typed GraphError")]
-pub fn gnmt(cfg: &GnmtConfig) -> OpGraph {
-    try_gnmt(cfg).unwrap_or_else(|e| panic!("gnmt: {e}"))
-}
-
-/// [`gnmt`] with config validation: degenerate dimensions (e.g. `layers = 0`,
-/// which used to index the non-existent bottom decoder layer and panic) come
-/// back as [`GraphError::BadConfig`].
+/// Degenerate dimensions ([`GnmtConfig::validate`], e.g. `layers = 0`, which
+/// used to index the non-existent bottom decoder layer and panic) come back as
+/// [`GraphError::BadConfig`].
 pub fn try_gnmt(cfg: &GnmtConfig) -> Result<OpGraph, GraphError> {
     cfg.validate()?;
     let GnmtConfig { batch, hidden, layers, seq_len, vocab } = *cfg;
@@ -873,18 +856,9 @@ pub fn try_gnmt(cfg: &GnmtConfig) -> Result<OpGraph, GraphError> {
 /// + layer norm, 12 transformer layers (per-head attention at 3-op granularity,
 ///   GELU feed-forward, residual + layer-norm pairs), MLM head over the full vocab.
 ///
-/// # Panics
-/// Panics on a degenerate config ([`BertConfig::validate`]); use
-/// [`try_bert_base`], which is the primary surface (see DESIGN.md,
-/// "Fallible graph construction").
-#[deprecated(since = "0.1.0", note = "use try_bert_base, which returns a typed GraphError")]
-pub fn bert_base(cfg: &BertConfig) -> OpGraph {
-    try_bert_base(cfg).unwrap_or_else(|e| panic!("bert_base: {e}"))
-}
-
-/// [`bert_base`] with config validation: degenerate dimensions (e.g.
-/// `heads = 0`, which used to divide by zero computing the head width) come
-/// back as [`GraphError::BadConfig`].
+/// Degenerate dimensions ([`BertConfig::validate`], e.g. `heads = 0`, which
+/// used to divide by zero computing the head width) come back as
+/// [`GraphError::BadConfig`].
 pub fn try_bert_base(cfg: &BertConfig) -> Result<OpGraph, GraphError> {
     cfg.validate()?;
     let BertConfig { batch, seq_len, hidden, layers, heads, ff, vocab } = *cfg;
@@ -1253,17 +1227,6 @@ mod tests {
 
         let zero_batch = InceptionConfig { batch: 0 };
         assert!(matches!(try_inception_v3(&zero_batch), Err(GraphError::BadConfig(_))));
-    }
-
-    /// The deprecated panicking wrappers must stay byte-equivalent to the
-    /// `try_` entry points until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn try_builders_match_panicking_builders_on_valid_configs() {
-        let a = gnmt(&GnmtConfig::default());
-        let b = try_gnmt(&GnmtConfig::default()).expect("default config is valid");
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.num_edges(), b.num_edges());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! supplies the equivalent in-Rust representation ([`OpGraph`]) plus deterministic
 //! synthetic builders for the three benchmark models the paper evaluates:
 //!
-//! * [`builders::inception_v3`] — image classifier, batch 1 (fits one GPU),
-//! * [`builders::gnmt`] — 4-layer NMT model, batch 256 (OOMs one GPU),
-//! * [`builders::bert_base`] — BERT-Base, seq 384 / batch 24 (OOMs one GPU).
+//! * [`builders::try_inception_v3`] — image classifier, batch 1 (fits one GPU),
+//! * [`builders::try_gnmt`] — 4-layer NMT model, batch 256 (OOMs one GPU),
+//! * [`builders::try_bert_base`] — BERT-Base, seq 384 / batch 24 (OOMs one GPU).
 //!
 //! Graphs include forward, backward and optimizer-update operations with honest
 //! FLOP counts, tensor sizes and memory footprints derived from model dimensions.

@@ -70,9 +70,9 @@ pub struct EpisodeScore {
 /// Algorithms build each episode's loss on the shared tape, fold the losses
 /// with `Tape::add_n`, and run ONE `Tape::backward_into` for the whole
 /// minibatch: shared forward nodes are traversed once, not once per episode.
-/// (Per-episode `tape.backward(loss_b, params)` calls in episode order remain
-/// supported and reproduce `B` separate tapes bit for bit; the single-backward
-/// path reorders the same float contributions, agreeing to tolerance.)
+/// (Per-episode `tape.backward_into(loss_b, grads)` calls in episode order
+/// reproduce `B` separate tapes bit for bit; the single-backward path reorders
+/// the same float contributions, agreeing to tolerance.)
 pub struct BatchScoreHandle {
     /// The shared tape holding all episodes' forward passes.
     pub tape: Tape,

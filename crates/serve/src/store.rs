@@ -350,38 +350,48 @@ mod tests {
     /// Regression: a republish that changes content but keeps the byte length
     /// AND lands within the filesystem's mtime granularity must still reload.
     /// The old `(len, mtime)` stamp check served the stale policy forever in
-    /// exactly this case; the test pins the collision by forcing the rewritten
-    /// file back to the original mtime.
+    /// exactly this case; the test pins the collision by rewriting the
+    /// checkpoint at the same length and forcing it back to the original mtime.
     #[test]
     fn hot_reload_sees_same_size_same_mtime_rewrite() {
+        use eagle_core::{CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION};
+
         let root = tmp("stealth_rewrite");
         let machine = Machine::small_machine();
         let graph = Benchmark::InceptionV3.graph_for(&machine);
-        let mut s1 = untrained_state(&graph, &machine, AgentScale::tiny(), 7).unwrap();
-        s1.samples = 1;
-        let v1 = publish_state(&root, "fam", "tiny", &s1).unwrap();
+        let mut state = untrained_state(&graph, &machine, AgentScale::tiny(), 7).unwrap();
+        state.samples = 1;
+        publish_state(&root, "fam", "tiny", &state).unwrap();
+        let ckpt = root.join("fam").join(CHECKPOINT_FILE);
+        let text = std::fs::read_to_string(&ckpt).unwrap();
+        let (_, payload) = text.split_once('\n').unwrap();
+
+        // Writes a valid checkpoint around `payload`, returning its content
+        // version. The header line is space-padded to a fixed width (JSON
+        // allows trailing whitespace), so the file length depends only on the
+        // payload length and not on the decimal checksum's digit count.
+        let write = |payload: &str| -> String {
+            let header = format!(
+                r#"{{"magic":"{CHECKPOINT_MAGIC}","schema_version":{CHECKPOINT_SCHEMA_VERSION},"checksum":{},"payload_bytes":{}}}"#,
+                fnv1a64(payload.as_bytes()),
+                payload.len()
+            );
+            let bytes = format!("{header:<128}\n{payload}");
+            std::fs::write(&ckpt, &bytes).unwrap();
+            format!("{:016x}", fnv1a64(bytes.as_bytes()))
+        };
+        let v1 = write(payload);
         let store = PolicyStore::open(&root, Recorder::new());
         assert_eq!(store.get("fam").unwrap().version, v1);
-
-        let ckpt = root.join("fam").join(CHECKPOINT_FILE);
         let before = std::fs::metadata(&ckpt).unwrap();
         let (len, mtime) = (before.len(), before.modified().unwrap());
 
-        // Same seed, different `samples`: different bytes, identical length.
-        // (The header checksum is a decimal u64 whose digit count can move the
-        // total length by a byte, so probe until a republish lands same-size.)
-        let mut v2 = None;
-        for samples in 2..=64u64 {
-            let mut s2 = untrained_state(&graph, &machine, AgentScale::tiny(), 7).unwrap();
-            s2.samples = samples;
-            let v = publish_state(&root, "fam", "tiny", &s2).unwrap();
-            if std::fs::metadata(&ckpt).unwrap().len() == len {
-                v2 = Some(v);
-                break;
-            }
-        }
-        let v2 = v2.expect("some samples value republishes at the original length");
+        // Same length, different content.
+        let edited = payload.replacen("{\"samples\":1,", "{\"samples\":2,", 1);
+        assert_ne!(edited, payload, "payload rewrite must hit");
+        let v2 = write(&edited);
         assert_ne!(v1, v2, "content must actually differ");
+        assert_eq!(std::fs::metadata(&ckpt).unwrap().len(), len, "rewrite keeps the length");
         // Pin the mtime back so a (len, mtime) stamp cannot tell them apart.
         let f = std::fs::OpenOptions::new().write(true).open(&ckpt).unwrap();
         f.set_modified(mtime).unwrap();
@@ -390,6 +400,6 @@ mod tests {
 
         let fresh = store.get("fam").unwrap();
         assert_eq!(fresh.version, v2, "stale policy served across a stealth rewrite");
-        assert_eq!(fresh.params.len(), s1.params.len());
+        assert_eq!(fresh.params.len(), state.params.len());
     }
 }

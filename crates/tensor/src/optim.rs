@@ -1,42 +1,11 @@
-//! First-order optimizers operating on a [`Params`] store.
+//! The Adam optimizer, updating a [`Params`] store from [`Grads`] buffers.
 //!
 //! The paper trains every agent with Adam (lr = 0.01) and clips gradients by global
-//! norm at 1.0; both are implemented here, plus plain SGD for tests and ablations.
+//! norm at 1.0 ([`Grads::clip_global_norm`]).
 
 use crate::grads::Grads;
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
-
-/// Plain stochastic gradient descent: `w -= lr * g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// Applies one update using the gradients currently in `params`.
-    pub fn step(&mut self, params: &mut Params) {
-        let ids: Vec<ParamId> = params.ids().collect();
-        for id in ids {
-            let (value, grad) = params.value_grad_mut(id);
-            value.add_scaled(grad, -self.lr);
-        }
-    }
-
-    /// Applies one update using detached [`Grads`] buffers.
-    pub fn step_grads(&mut self, params: &mut Params, grads: &Grads) {
-        let ids: Vec<ParamId> = params.ids().collect();
-        for id in ids {
-            params.get_mut(id).add_scaled(grads.get(id), -self.lr);
-        }
-    }
-}
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
 ///
@@ -69,10 +38,14 @@ impl Adam {
         self.t
     }
 
-    /// Allocates the moment buffers on first use and bumps the step counter.
-    fn begin_step(&mut self, params: &Params) -> (f32, f32) {
+    /// Applies one Adam update in place, reading gradients from `grads`
+    /// (filled by [`Tape::backward_into`](crate::tape::Tape::backward_into)).
+    ///
+    /// Moment buffers are allocated lazily on the first step; the store's layout
+    /// (count and shapes of parameters) must stay fixed across steps.
+    pub fn step_grads(&mut self, params: &mut Params, grads: &Grads) {
         if self.m.is_empty() {
-            for id in params.ids().collect::<Vec<_>>() {
+            for id in params.ids() {
                 let (r, c) = params.get(id).shape();
                 self.m.push(Tensor::zeros(r, c));
                 self.v.push(Tensor::zeros(r, c));
@@ -82,47 +55,21 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        (bc1, bc2)
-    }
-
-    /// One parameter's update. The per-element op order is load-bearing:
-    /// checkpointed runs replay it and must land on identical bits.
-    fn update_one(&mut self, idx: usize, value: &mut Tensor, grad: &Tensor, bc1: f32, bc2: f32) {
-        let m = &mut self.m[idx];
-        let v = &mut self.v[idx];
-        for j in 0..grad.len() {
-            let gj = grad.data()[j];
-            m.data_mut()[j] = self.beta1 * m.data()[j] + (1.0 - self.beta1) * gj;
-            v.data_mut()[j] = self.beta2 * v.data()[j] + (1.0 - self.beta2) * gj * gj;
-            let m_hat = m.data()[j] / bc1;
-            let v_hat = v.data()[j] / bc2;
-            value.data_mut()[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-
-    /// Applies one Adam update using the gradients currently in `params`,
-    /// in place (no gradient clone — the update reads each element once).
-    ///
-    /// Moment buffers are allocated lazily on the first step; the store's layout
-    /// (count and shapes of parameters) must stay fixed across steps.
-    pub fn step(&mut self, params: &mut Params) {
-        let (bc1, bc2) = self.begin_step(params);
         let ids: Vec<ParamId> = params.ids().collect();
         for id in ids {
-            let (value, grad) = params.value_grad_mut(id);
-            self.update_one(id.index(), value, grad, bc1, bc2);
-        }
-    }
-
-    /// Applies one Adam update reading gradients from detached [`Grads`]
-    /// buffers (filled by [`Tape::backward_into`](crate::tape::Tape::backward_into)).
-    /// Identical per-element arithmetic to [`Adam::step`], so the two entry
-    /// points are interchangeable bit-for-bit given equal gradients.
-    pub fn step_grads(&mut self, params: &mut Params, grads: &Grads) {
-        let (bc1, bc2) = self.begin_step(params);
-        let ids: Vec<ParamId> = params.ids().collect();
-        for id in ids {
-            self.update_one(id.index(), params.get_mut(id), grads.get(id), bc1, bc2);
+            let (value, grad) = (params.get_mut(id), grads.get(id));
+            let m = &mut self.m[id.index()];
+            let v = &mut self.v[id.index()];
+            // The per-element op order is load-bearing: checkpointed runs
+            // replay it and must land on identical bits.
+            for j in 0..grad.len() {
+                let gj = grad.data()[j];
+                m.data_mut()[j] = self.beta1 * m.data()[j] + (1.0 - self.beta1) * gj;
+                v.data_mut()[j] = self.beta2 * v.data()[j] + (1.0 - self.beta2) * gj * gj;
+                let m_hat = m.data()[j] / bc1;
+                let v_hat = v.data()[j] / bc2;
+                value.data_mut()[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            }
         }
     }
 }
@@ -132,37 +79,28 @@ mod tests {
     use super::*;
     use crate::tape::Tape;
 
-    /// Minimizes `(w - 3)^2` and checks convergence.
-    fn quadratic_descent(mut step: impl FnMut(&mut Params), params: &mut Params) -> f32 {
-        let id = params.ids().next().unwrap();
-        for _ in 0..400 {
-            params.zero_grad();
-            let mut tape = Tape::new();
-            let w = tape.param(params, id);
-            let shifted = tape.add_scalar(w, -3.0);
-            let sq = tape.mul_elem(shifted, shifted);
-            let loss = tape.sum_all(sq);
-            tape.backward(loss, params);
-            step(params);
-        }
-        params.get(id).item()
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut params = Params::new();
-        params.add("w", Tensor::scalar(-5.0));
-        let mut opt = Sgd::new(0.1);
-        let w = quadratic_descent(|p| opt.step(p), &mut params);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
+    /// One Adam step on `(w - 3)^2` for the single parameter `id`.
+    fn quadratic_step(params: &mut Params, grads: &mut Grads, opt: &mut Adam, id: ParamId) {
+        grads.zero();
+        let mut tape = Tape::new();
+        let w = tape.param(params, id);
+        let shifted = tape.add_scalar(w, -3.0);
+        let sq = tape.mul_elem(shifted, shifted);
+        let loss = tape.sum_all(sq);
+        tape.backward_into(loss, grads);
+        opt.step_grads(params, grads);
     }
 
     #[test]
     fn adam_minimizes_quadratic() {
         let mut params = Params::new();
-        params.add("w", Tensor::scalar(-5.0));
+        let id = params.add("w", Tensor::scalar(-5.0));
+        let mut grads = Grads::for_params(&params);
         let mut opt = Adam::new(0.05);
-        let w = quadratic_descent(|p| opt.step(p), &mut params);
+        for _ in 0..400 {
+            quadratic_step(&mut params, &mut grads, &mut opt, id);
+        }
+        let w = params.get(id).item();
         assert!((w - 3.0).abs() < 0.1, "w = {w}");
         assert_eq!(opt.steps(), 400);
     }
@@ -174,8 +112,8 @@ mod tests {
         // bit-identical trajectories.
         let run = |resume_at: Option<usize>| -> (f32, Adam) {
             let mut params = Params::new();
-            params.add("w", Tensor::scalar(-5.0));
-            let id = params.ids().next().unwrap();
+            let id = params.add("w", Tensor::scalar(-5.0));
+            let mut grads = Grads::for_params(&params);
             let mut opt = Adam::new(0.05);
             let mut snapshot: Option<(Params, Adam)> = None;
             for step in 0..200 {
@@ -184,14 +122,7 @@ mod tests {
                     params = p;
                     opt = o;
                 }
-                params.zero_grad();
-                let mut tape = Tape::new();
-                let w = tape.param(&params, id);
-                let shifted = tape.add_scalar(w, -3.0);
-                let sq = tape.mul_elem(shifted, shifted);
-                let loss = tape.sum_all(sq);
-                tape.backward(loss, &mut params);
-                opt.step(&mut params);
+                quadratic_step(&mut params, &mut grads, &mut opt, id);
                 if step == 99 && resume_at.is_some() {
                     // JSON round-trip, not a clone: this is what a checkpoint
                     // does, and it must be bit-exact for every float.
@@ -217,9 +148,10 @@ mod tests {
         let mut params = Params::new();
         let a = params.add("a", Tensor::scalar(10.0));
         let b = params.add("b", Tensor::row_vector(&[-2.0, 4.0]));
+        let mut grads = Grads::for_params(&params);
         let mut opt = Adam::new(0.1);
         for _ in 0..600 {
-            params.zero_grad();
+            grads.zero();
             let mut tape = Tape::new();
             let va = tape.param(&params, a);
             let vb = tape.param(&params, b);
@@ -228,8 +160,8 @@ mod tests {
             let la = tape.sum_all(sa);
             let lb = tape.sum_all(sb);
             let loss = tape.add(la, lb);
-            tape.backward(loss, &mut params);
-            opt.step(&mut params);
+            tape.backward_into(loss, &mut grads);
+            opt.step_grads(&mut params, &grads);
         }
         assert!(params.get(a).item().abs() < 1e-2);
         assert!(params.get(b).norm() < 1e-2);

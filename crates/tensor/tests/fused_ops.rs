@@ -215,37 +215,3 @@ fn add_n_of_scalar_losses_sums_in_order() {
     }
     assert_eq!(tape.value(total).item().to_bits(), expect.to_bits());
 }
-
-#[test]
-fn backward_into_matches_legacy_backward() {
-    // The detached-buffer entry point must produce exactly the gradients the
-    // legacy in-params accumulators receive.
-    let (mut params, ids) = seeded_params(&[(3, 4), (4, 3), (1, 3)], 17);
-    let build = |tape: &mut Tape, p: &Params| -> Var {
-        let x = tape.param(p, ids[0]);
-        let w = tape.param(p, ids[1]);
-        let b = tape.param(p, ids[2]);
-        let h = tape.affine(x, w, b, FusedAct::Tanh);
-        let s = tape.softmax(h);
-        let picked = tape.log_softmax_pick(h, &[0, 2, 1]);
-        let e = tape.mul_elem(s, s);
-        let l1 = tape.sum_all(e);
-        let l2 = tape.sum_all(picked);
-        tape.add(l1, l2)
-    };
-    let mut tape = Tape::new();
-    let loss = build(&mut tape, &params);
-    let mut grads = Grads::for_params(&params);
-    tape.backward_into(loss, &mut grads);
-
-    params.zero_grad();
-    let mut tape2 = Tape::new();
-    let loss2 = build(&mut tape2, &params);
-    tape2.backward(loss2, &mut params);
-
-    for id in params.ids() {
-        for (j, (a, b)) in grads.get(id).data().iter().zip(params.grad(id).data()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "grad {}[{j}]", params.name(id));
-        }
-    }
-}

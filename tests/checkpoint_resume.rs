@@ -14,12 +14,12 @@
 //! environment from scratch exactly like a restarted binary would.
 
 use eagle::core::{
-    load_checkpoint, AgentScale, Algo, CheckpointError, EagleAgent, GraphSource, TrainResult,
-    Trainer, TrainerConfig, CHECKPOINT_FILE,
+    fnv1a64, load_checkpoint, AgentScale, Algo, CheckpointError, EagleAgent, GraphSource,
+    TrainResult, Trainer, TrainerConfig, CHECKPOINT_FILE, CHECKPOINT_MAGIC,
 };
 use eagle::devsim::{Machine, MeasureConfig};
 use eagle::opgraph::{builders, GraphGenConfig};
-use eagle::tensor::Params;
+use eagle::tensor::{Params, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -75,8 +75,41 @@ fn straight_run(algo: Algo, workers: usize, total: usize) -> (TrainResult, Param
     (result, params)
 }
 
+/// First life: trains `kill_after` minibatches with checkpointing on and
+/// dies (stops) right after the checkpoint at minibatch `kill_after`. Returns
+/// the checkpoint path.
+fn first_life(
+    algo: Algo,
+    workers: usize,
+    kill_after: usize,
+    dir: &std::path::Path,
+) -> std::path::PathBuf {
+    std::fs::remove_dir_all(dir).ok();
+    let mut cfg = config(algo, workers, kill_after * MINIBATCH);
+    cfg.checkpoint_dir = Some(dir.to_path_buf());
+    cfg.checkpoint_every = Some(1);
+    let (g, m, trainer) = tiny_trainer(cfg);
+    let (mut params, agent) = build_agent(&g, &m);
+    trainer.train(&agent, &mut params).expect("first life trains");
+    dir.join(CHECKPOINT_FILE)
+}
+
+/// Second life: a brand-new process image (new env, new agent, new params)
+/// resumes from `state` and trains to `total` samples.
+fn second_life(
+    algo: Algo,
+    workers: usize,
+    total: usize,
+    state: eagle::core::TrainerState,
+) -> (TrainResult, Params) {
+    let (g, m, trainer) = tiny_trainer(config(algo, workers, total));
+    let (mut params, agent) = build_agent(&g, &m);
+    let result = trainer.train_from(&agent, &mut params, state).expect("resume accepted");
+    (result, params)
+}
+
 /// Trains `kill_after` minibatches with checkpointing on, then resumes from
-/// the checkpoint in a fresh process image (new env, new agent, new params).
+/// the checkpoint in a fresh process image.
 fn killed_and_resumed(
     algo: Algo,
     workers: usize,
@@ -84,23 +117,10 @@ fn killed_and_resumed(
     total: usize,
     dir: &std::path::Path,
 ) -> (TrainResult, Params) {
-    std::fs::remove_dir_all(dir).ok();
-    // First life: dies (stops) right after the checkpoint at minibatch `kill_after`.
-    {
-        let mut cfg = config(algo, workers, kill_after * MINIBATCH);
-        cfg.checkpoint_dir = Some(dir.to_path_buf());
-        cfg.checkpoint_every = Some(1);
-        let (g, m, trainer) = tiny_trainer(cfg);
-        let (mut params, agent) = build_agent(&g, &m);
-        trainer.train(&agent, &mut params).expect("first life trains");
-    }
-    // Second life: a brand-new process image resumes from disk.
-    let state = load_checkpoint(dir.join(CHECKPOINT_FILE)).expect("checkpoint readable");
+    let path = first_life(algo, workers, kill_after, dir);
+    let state = load_checkpoint(path).expect("checkpoint readable");
     assert_eq!(state.samples as usize, kill_after * MINIBATCH);
-    let (g, m, trainer) = tiny_trainer(config(algo, workers, total));
-    let (mut params, agent) = build_agent(&g, &m);
-    let result = trainer.train_from(&agent, &mut params, state).expect("resume accepted");
-    (result, params)
+    second_life(algo, workers, total, state)
 }
 
 /// Discrete outcomes match exactly; floats match within the documented
@@ -195,6 +215,71 @@ fn corrupt_checkpoint_fails_typed_and_fresh_file_survives_interrupted_save() {
         .filter(|n| n.contains(".tmp."))
         .collect();
     assert!(stray.is_empty(), "temp litter: {stray:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites a current checkpoint file as the schema-v2 file earlier builds
+/// wrote: every parameter entry regains its all-zero `grad` array, and the
+/// header names v2 with a checksum and length recomputed over the new payload.
+fn as_legacy_v2(current: &str, params: &Params) -> String {
+    let (_, payload) = current.split_once('\n').expect("header line");
+    let (mut entries, mut legacy) = (Vec::new(), Vec::new());
+    for id in params.ids() {
+        let name = serde_json::to_string(&params.name(id)).unwrap();
+        let value = serde_json::to_string(params.get(id)).unwrap();
+        let (r, c) = params.get(id).shape();
+        let grad = serde_json::to_string(&Tensor::zeros(r, c)).unwrap();
+        entries.push(format!(r#"{{"name":{name},"value":{value}}}"#));
+        legacy.push(format!(r#"{{"name":{name},"value":{value},"grad":{grad}}}"#));
+    }
+    let entries = format!(r#""params":{{"entries":[{}]}}"#, entries.join(","));
+    let legacy = format!(r#""params":{{"entries":[{}]}}"#, legacy.join(","));
+    assert_eq!(payload.matches(&entries).count(), 1, "params serialize as expected");
+    let payload = payload.replacen(&entries, &legacy, 1);
+    format!(
+        r#"{{"magic":"{CHECKPOINT_MAGIC}","schema_version":2,"checksum":{},"payload_bytes":{}}}"#,
+        fnv1a64(payload.as_bytes()),
+        payload.len()
+    ) + "\n"
+        + &payload
+}
+
+fn assert_params_bitwise_equal(a: &Params, b: &Params, ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: param tensor count");
+    for id in a.ids() {
+        let bits = |p: &Params| p.get(id).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.get(id).shape(), b.get(id).shape(), "{ctx}: shape of {}", a.name(id));
+        assert_eq!(bits(a), bits(b), "{ctx}: param {}", a.name(id));
+    }
+}
+
+/// A v2 checkpoint — written before parameters dropped their serialized
+/// gradient accumulators — still loads to the same parameters and optimizer
+/// state as the current file, and resumes to the same bits.
+#[test]
+fn legacy_v2_checkpoint_with_gradient_arrays_resumes_bit_identically() {
+    const TOTAL: usize = 40;
+    const KILL_AFTER: usize = 2;
+    let dir = tmp("legacy-v2");
+    let path = first_life(Algo::Ppo, 1, KILL_AFTER, &dir);
+    let current_text = std::fs::read_to_string(&path).unwrap();
+    assert!(!current_text.contains("\"grad\""), "current checkpoints carry no gradients");
+    let current = load_checkpoint(&path).expect("current checkpoint loads");
+
+    let legacy_text = as_legacy_v2(&current_text, &current.params);
+    assert!(legacy_text.len() > current_text.len(), "surgery added the grad arrays");
+    let legacy_path = dir.join("legacy-v2.json");
+    std::fs::write(&legacy_path, legacy_text).unwrap();
+    let legacy = load_checkpoint(&legacy_path).expect("v2 checkpoint still loads");
+    assert_params_bitwise_equal(&legacy.params, &current.params, "loaded v2");
+    assert_eq!(legacy.opt_ppo, current.opt_ppo, "Adam state survives the v2 decode");
+
+    let from_current = second_life(Algo::Ppo, 1, TOTAL, current);
+    let from_legacy = second_life(Algo::Ppo, 1, TOTAL, legacy);
+    assert_eq!(from_legacy.0.curve.points, from_current.0.curve.points, "resumed curve");
+    assert_eq!(from_legacy.0.best_placement, from_current.0.best_placement);
+    assert_params_bitwise_equal(&from_legacy.1, &from_current.1, "resumed from v2");
+    assert_run_matches(&straight_run(Algo::Ppo, 1, TOTAL), &from_legacy, "v2 resume");
     std::fs::remove_dir_all(&dir).ok();
 }
 
