@@ -6,7 +6,8 @@
 //!
 //! * **Parameters** ([`save_params`] / [`load_params`]) and **curves**
 //!   ([`save_curve`] / [`load_curve`]) — plain JSON files for post-hoc analysis.
-//! * **Checkpoints** ([`save_checkpoint`] / [`load_checkpoint`]) — the full
+//! * **Checkpoints** ([`save_checkpoint`] / [`load_checkpoint`], over the
+//!   in-memory [`encode_checkpoint`] / [`decode_checkpoint`]) — the full
 //!   [`TrainerState`] manifest a run needs to resume *bit-identically*: policy
 //!   parameters, all three optimizers' Adam moments, the trainer RNG position,
 //!   the EMA baseline, the CE elite history, the curve so far, and the complete
@@ -238,14 +239,11 @@ struct Header {
     payload_bytes: u64,
 }
 
-/// Atomically writes `state` as a versioned, checksummed checkpoint at `path`.
-///
-/// The write goes through [`eagle_obs::write_atomic`], so a crash mid-save
-/// leaves the previous checkpoint (if any) intact.
-pub fn save_checkpoint(
-    state: &TrainerState,
-    path: impl AsRef<Path>,
-) -> Result<(), CheckpointError> {
+/// Encodes `state` as the bytes of a versioned, checksummed checkpoint file:
+/// the header line, `\n`, then the JSON payload. [`save_checkpoint`] writes
+/// exactly these bytes; callers that need the file's content hash (the serving
+/// policy store) hash them in memory instead of reading the file back.
+pub fn encode_checkpoint(state: &TrainerState) -> Result<Vec<u8>, CheckpointError> {
     let payload =
         serde_json::to_string(state).map_err(|e| CheckpointError::Decode(e.to_string()))?;
     let header = Header {
@@ -260,18 +258,34 @@ pub fn save_checkpoint(
     bytes.extend_from_slice(header_json.as_bytes());
     bytes.push(b'\n');
     bytes.extend_from_slice(payload.as_bytes());
-    eagle_obs::write_atomic(path, &bytes)?;
+    Ok(bytes)
+}
+
+/// Atomically writes `state` as a versioned, checksummed checkpoint at `path`.
+///
+/// The write goes through [`eagle_obs::write_atomic`], so a crash mid-save
+/// leaves the previous checkpoint (if any) intact.
+pub fn save_checkpoint(
+    state: &TrainerState,
+    path: impl AsRef<Path>,
+) -> Result<(), CheckpointError> {
+    eagle_obs::write_atomic(path, &encode_checkpoint(state)?)?;
     Ok(())
 }
 
-/// Reads and verifies a checkpoint written by [`save_checkpoint`].
+/// Reads and verifies a checkpoint written by [`save_checkpoint`]: the file
+/// read, then [`decode_checkpoint`].
+pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainerState, CheckpointError> {
+    decode_checkpoint(std::fs::read(path)?)
+}
+
+/// Verifies and decodes the bytes of a checkpoint file.
 ///
 /// Verifies, in order: the header parses and carries the right magic, the
 /// schema version is readable, the payload length matches the header's declaration
 /// (catching truncation), and the FNV-1a checksum matches (catching corruption)
 /// — each failure is a distinct [`CheckpointError`] variant, never a panic.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainerState, CheckpointError> {
-    let bytes = std::fs::read(path)?;
+pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<TrainerState, CheckpointError> {
     let text =
         String::from_utf8(bytes).map_err(|e| CheckpointError::Header(format!("not UTF-8: {e}")))?;
     let Some((header_line, payload)) = text.split_once('\n') else {

@@ -11,22 +11,33 @@
 //!
 //! The checkpoint file is exactly what `--checkpoint-dir` training produces, so
 //! "publish" is copy-with-validation and a training run can point its checkpoint
-//! dir straight into the store for live updates. [`PolicyStore::get`] hashes the
-//! checkpoint contents on every call and transparently **hot-reloads** when the
-//! bytes change (training published a newer version): the new parameters are
-//! swapped in behind an `Arc`, so requests already holding the old entry finish
-//! on the old policy — nothing in flight is dropped. Freshness is *content*
-//! identity, not a `(len, mtime)` stamp — a same-size rewrite landing within the
-//! filesystem's mtime granularity is exactly what a fast re-publish produces,
-//! and a stamp check silently serves the stale policy forever. A failed reload
-//! (torn copy, version skew) keeps serving the previous entry and bumps
-//! `serve.policy_reload_errors`.
+//! dir straight into the store for live updates. On every call
+//! [`PolicyStore::get`] reads the checkpoint's header line — at most 4 KiB —
+//! and transparently **hot-reloads** when it differs from the header the
+//! served entry was loaded from (training published a newer version): the new
+//! parameters are swapped in behind an `Arc`, so requests already holding the
+//! old entry finish on the old policy — nothing in flight is dropped.
+//!
+//! Freshness is *content* identity, not a `(len, mtime)` stamp — a same-size
+//! rewrite landing within the filesystem's mtime granularity is exactly what a
+//! fast re-publish produces, and a stamp check silently serves the stale policy
+//! forever. The header carries the payload's length and FNV-1a-64 checksum, so
+//! an unchanged header means the payload is either the one being served (up to
+//! an FNV-64 collision) or corrupt, which a reload would reject anyway; the
+//! per-wave cost is one small read instead of re-hashing the whole file. A
+//! reload reads the file once and takes the version, the params and the new
+//! header from those same bytes. A failed reload (torn copy, version skew)
+//! keeps serving the previous entry and bumps `serve.policy_reload_errors`.
 
 use std::collections::HashMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use eagle_core::{fnv1a64, load_checkpoint, AgentScale, EagleAgent, TrainerState, CHECKPOINT_FILE};
+use eagle_core::{
+    decode_checkpoint, encode_checkpoint, fnv1a64, load_checkpoint, AgentScale, CheckpointError,
+    EagleAgent, TrainerState, CHECKPOINT_FILE,
+};
 use eagle_devsim::Machine;
 use eagle_obs::Recorder;
 use eagle_opgraph::OpGraph;
@@ -46,6 +57,11 @@ pub const GENERALIST_FAMILY: &str = "generalist";
 
 /// Manifest schema version.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
+
+/// Longest checkpoint header line the store serves from, `\n` included. The
+/// freshness check in [`PolicyStore::get`] never reads more than this; a
+/// checkpoint without a `\n` in its first `HEADER_CAP` bytes does not load.
+const HEADER_CAP: usize = 4096;
 
 /// Per-family manifest: everything needed to rebuild the serving agent around
 /// the checkpoint's parameters.
@@ -73,9 +89,13 @@ pub struct PolicyEntry {
     /// The trained parameters.
     pub params: Params,
     /// Content version: FNV-1a-64 of the checkpoint file bytes, in hex. This is
-    /// the `policy_version` echoed in every [`crate::api::PlaceResponse`], and
-    /// also the freshness check [`PolicyStore::get`] compares against.
+    /// the `policy_version` echoed in every [`crate::api::PlaceResponse`]. It
+    /// is hashed from the same bytes `params` were decoded from, so it always
+    /// names these parameters.
     pub version: String,
+    /// The checkpoint's header line (without its `\n`) from those same bytes:
+    /// what [`PolicyStore::get`]'s freshness check compares against.
+    header: Vec<u8>,
 }
 
 /// A lazy, hot-reloading view over a store directory.
@@ -137,22 +157,30 @@ impl PolicyStore {
         let scale = AgentScale::from_name(&manifest.scale).ok_or_else(|| {
             EagleError::PolicyMismatch(format!("unknown agent scale `{}`", manifest.scale))
         })?;
-        let ckpt_path = dir.join(CHECKPOINT_FILE);
-        let bytes = std::fs::read(&ckpt_path).map_err(|e| {
+        // One read: version, header and params all come from these bytes, so
+        // a publish landing mid-load cannot pair one file's version with
+        // another's params.
+        let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 EagleError::UnknownFamily(family.to_string())
             } else {
                 EagleError::Io(e)
             }
         })?;
+        let header = header_line(&bytes)
+            .ok_or_else(|| {
+                CheckpointError::Header(format!("no header line in the first {HEADER_CAP} bytes"))
+            })?
+            .to_vec();
         let version = format!("{:016x}", fnv1a64(&bytes));
-        let state = load_checkpoint(&ckpt_path)?;
+        let state = decode_checkpoint(bytes)?;
         Ok(PolicyEntry {
             family: family.to_string(),
             scale,
             scale_name: manifest.scale,
             params: state.params,
             version,
+            header,
         })
     }
 
@@ -164,13 +192,12 @@ impl PolicyStore {
         let mut entries = self.entries.lock().expect("policy store lock");
         if let Some(current) = entries.get(family).cloned() {
             let ckpt_path = self.family_dir(family)?.join(CHECKPOINT_FILE);
-            // Freshness is content identity: hash the bytes and compare with
-            // the served version. A (len, mtime) stamp misses the same-size
-            // rewrite inside one mtime tick that back-to-back publishes hit.
-            match std::fs::read(&ckpt_path) {
-                Ok(bytes) if format!("{:016x}", fnv1a64(&bytes)) == current.version => {
-                    return Ok(current)
-                }
+            // Freshness is content identity: the header line pins the
+            // payload's length and checksum. A (len, mtime) stamp misses the
+            // same-size rewrite inside one mtime tick that back-to-back
+            // publishes hit.
+            match read_header(&ckpt_path) {
+                Some(header) if header == current.header => return Ok(current),
                 // Changed (or temporarily unreadable): attempt a reload, but
                 // never stop serving the version we already have.
                 _ => match self.load_entry(family) {
@@ -194,6 +221,23 @@ impl PolicyStore {
     }
 }
 
+/// The header line of checkpoint `bytes` (without its `\n`), if one ends
+/// within the first [`HEADER_CAP`] bytes.
+fn header_line(bytes: &[u8]) -> Option<&[u8]> {
+    let head = &bytes[..bytes.len().min(HEADER_CAP)];
+    head.iter().position(|&b| b == b'\n').map(|end| &head[..end])
+}
+
+/// Reads at most [`HEADER_CAP`] bytes of the checkpoint at `path` and returns
+/// its header line; `None` when the read fails or no line ends within the cap.
+fn read_header(path: &Path) -> Option<Vec<u8>> {
+    let mut head = Vec::with_capacity(HEADER_CAP);
+    std::fs::File::open(path).ok()?.take(HEADER_CAP as u64).read_to_end(&mut head).ok()?;
+    let end = header_line(&head)?.len();
+    head.truncate(end);
+    Some(head)
+}
+
 /// Publishes `state` into `root/<family>/` as a servable policy, returning the
 /// content version. The checkpoint is written in the standard trainer format
 /// (atomically), then the manifest — so a reader never observes a manifest
@@ -210,8 +254,8 @@ pub fn publish_state(
     }
     let dir = root.join(family);
     std::fs::create_dir_all(&dir)?;
-    let ckpt_path = dir.join(CHECKPOINT_FILE);
-    eagle_core::save_checkpoint(state, &ckpt_path)?;
+    let bytes = encode_checkpoint(state)?;
+    eagle_obs::write_atomic(dir.join(CHECKPOINT_FILE), &bytes)?;
     let manifest = PolicyManifest {
         schema_version: MANIFEST_SCHEMA_VERSION,
         family: family.to_string(),
@@ -220,7 +264,6 @@ pub fn publish_state(
     };
     let manifest_json = serde_json::to_string(&manifest)?;
     eagle_obs::write_atomic(dir.join(MANIFEST_FILE), manifest_json.as_bytes())?;
-    let bytes = std::fs::read(&ckpt_path)?;
     Ok(format!("{:016x}", fnv1a64(&bytes)))
 }
 
@@ -309,7 +352,7 @@ mod tests {
         assert_eq!(entry.version, version);
         assert_eq!(entry.scale_name, "tiny");
         assert_eq!(entry.params.len(), state.params.len());
-        // Second get is a cache hit (stamp unchanged), same Arc.
+        // Second get is a cache hit (header unchanged), same Arc.
         let again = store.get("inception_v3").unwrap();
         assert!(Arc::ptr_eq(&entry, &again));
     }
@@ -401,5 +444,144 @@ mod tests {
         let fresh = store.get("fam").unwrap();
         assert_eq!(fresh.version, v2, "stale policy served across a stealth rewrite");
         assert_eq!(fresh.params.len(), state.params.len());
+    }
+
+    fn same_params(a: &Params, b: &Params) -> bool {
+        a.len() == b.len() && a.ids().zip(b.ids()).all(|(i, j)| a.get(i).data() == b.get(j).data())
+    }
+
+    /// Writes a valid checkpoint of `state` whose header line is space-padded
+    /// to `header_width` bytes (JSON allows trailing whitespace).
+    fn write_padded(path: &Path, state: &TrainerState, header_width: usize) {
+        let bytes = encode_checkpoint(state).unwrap();
+        let end = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let mut padded = bytes[..end].to_vec();
+        padded.resize(header_width, b' ');
+        padded.extend_from_slice(&bytes[end..]);
+        std::fs::write(path, padded).unwrap();
+    }
+
+    /// Regression: `version` and `params` come from one read of the file. When
+    /// they came from two, a publish landing in between served the new params
+    /// labelled with the old version.
+    #[test]
+    fn served_version_always_names_served_params() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let root = tmp("race");
+        let machine = Machine::small_machine();
+        let graph = Benchmark::InceptionV3.graph_for(&machine);
+        let states =
+            [1, 2].map(|seed| untrained_state(&graph, &machine, AgentScale::tiny(), seed).unwrap());
+        let versions = states.each_ref().map(|s| publish_state(&root, "fam", "tiny", s).unwrap());
+        assert_ne!(versions[0], versions[1]);
+        let rec = Recorder::new();
+        let store = PolicyStore::open(&root, rec.clone());
+        let done = AtomicBool::new(false);
+        let published = std::thread::scope(|scope| {
+            let publisher = scope.spawn(|| {
+                // Never panics, so the reader loop below always ends.
+                let ok = (0..60).all(|i| {
+                    publish_state(&root, "fam", "tiny", &states[i % 2]).ok().as_ref()
+                        == Some(&versions[i % 2])
+                });
+                done.store(true, Ordering::SeqCst);
+                ok
+            });
+            while !done.load(Ordering::SeqCst) {
+                let entry = store.get("fam").unwrap();
+                let which = versions
+                    .iter()
+                    .position(|v| *v == entry.version)
+                    .expect("served version names a published state");
+                assert!(
+                    same_params(&entry.params, &states[which].params),
+                    "params served under version {} are not that version's",
+                    entry.version
+                );
+            }
+            publisher.join().unwrap()
+        });
+        assert!(published, "every publish returns its state's version");
+        assert!(rec.counter_value("serve.policy_reloads") > 0, "republishes are picked up");
+        assert_eq!(rec.counter_value("serve.policy_reload_errors"), 0);
+    }
+
+    /// Freshness is the header line: payload bytes rewritten in place under an
+    /// unchanged header keep serving the cached entry without a reload, and a
+    /// valid republish (new header) still reloads.
+    #[test]
+    fn unchanged_header_keeps_serving_cached_entry() {
+        let root = tmp("same_header");
+        let machine = Machine::small_machine();
+        let graph = Benchmark::InceptionV3.graph_for(&machine);
+        let s1 = untrained_state(&graph, &machine, AgentScale::tiny(), 1).unwrap();
+        publish_state(&root, "fam", "tiny", &s1).unwrap();
+        let rec = Recorder::new();
+        let store = PolicyStore::open(&root, rec.clone());
+        let served = store.get("fam").unwrap();
+
+        let ckpt = root.join("fam").join(CHECKPOINT_FILE);
+        let mut bytes = std::fs::read(&ckpt).unwrap();
+        let len = bytes.len();
+        let payload_start = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[payload_start..].fill(b'x');
+        std::fs::write(&ckpt, &bytes).unwrap();
+        assert_eq!(std::fs::metadata(&ckpt).unwrap().len() as usize, len);
+
+        let again = store.get("fam").unwrap();
+        assert!(Arc::ptr_eq(&served, &again), "unchanged header must serve the cached entry");
+        assert_eq!(rec.counter_value("serve.policy_reloads"), 0);
+        assert_eq!(rec.counter_value("serve.policy_reload_errors"), 0);
+
+        let s2 = untrained_state(&graph, &machine, AgentScale::tiny(), 2).unwrap();
+        let v2 = publish_state(&root, "fam", "tiny", &s2).unwrap();
+        let fresh = store.get("fam").unwrap();
+        assert_eq!(fresh.version, v2);
+        assert!(same_params(&fresh.params, &s2.params));
+        assert_eq!(rec.counter_value("serve.policy_reloads"), 1);
+    }
+
+    /// A checkpoint with no `\n` in its first 4 KiB — garbage, or a valid
+    /// checkpoint whose header line is padded past the cap — is a typed error
+    /// on first load and a counted reload error for a family already served.
+    #[test]
+    fn header_past_the_cap_is_rejected_without_panicking() {
+        let root = tmp("header_cap");
+        let machine = Machine::small_machine();
+        let graph = Benchmark::InceptionV3.graph_for(&machine);
+        let state = untrained_state(&graph, &machine, AgentScale::tiny(), 1).unwrap();
+        let rec = Recorder::new();
+        let store = PolicyStore::open(&root, rec.clone());
+        let garbage = |p: &Path| std::fs::write(p, vec![b'x'; 3 * HEADER_CAP]).unwrap();
+        let padded = |p: &Path| write_padded(p, &state, HEADER_CAP);
+        let over_cap: [&dyn Fn(&Path); 2] = [&garbage, &padded];
+        for (i, corrupt) in over_cap.iter().enumerate() {
+            // Never served: the first load fails with a typed error.
+            let fresh = format!("fresh{i}");
+            publish_state(&root, &fresh, "tiny", &state).unwrap();
+            corrupt(&root.join(&fresh).join(CHECKPOINT_FILE));
+            assert!(matches!(
+                store.get(&fresh),
+                Err(EagleError::Checkpoint(CheckpointError::Header(_)))
+            ));
+
+            // Already served: keep serving, count one reload error per get.
+            let served_fam = format!("served{i}");
+            publish_state(&root, &served_fam, "tiny", &state).unwrap();
+            let served = store.get(&served_fam).unwrap();
+            corrupt(&root.join(&served_fam).join(CHECKPOINT_FILE));
+            let errors = rec.counter_value("serve.policy_reload_errors");
+            let again = store.get(&served_fam).unwrap();
+            assert!(Arc::ptr_eq(&served, &again));
+            assert_eq!(rec.counter_value("serve.policy_reload_errors"), errors + 1);
+        }
+        // One byte under the cap still serves: the padded header line plus its
+        // `\n` fills the cap exactly.
+        publish_state(&root, "edge", "tiny", &state).unwrap();
+        write_padded(&root.join("edge").join(CHECKPOINT_FILE), &state, HEADER_CAP - 1);
+        let edge = store.get("edge").unwrap();
+        assert!(same_params(&edge.params, &state.params));
+        assert!(Arc::ptr_eq(&edge, &store.get("edge").unwrap()), "a capped header stays fresh");
     }
 }
